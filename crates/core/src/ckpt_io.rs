@@ -27,6 +27,8 @@
 //! Enum tags in this module are part of the durable format: append variants,
 //! never renumber.
 
+use std::borrow::Cow;
+
 use wrangler_fusion::strategies::FusedValue;
 use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
@@ -39,7 +41,7 @@ use crate::acquire::{
     AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, CircuitBreaker, Disposition,
 };
 use crate::contain::{ContainmentReport, Stage, StageTallies};
-use crate::working::WorkCounters;
+use crate::working::{PairEntry, PairScoreCache, WorkCounters};
 
 type Result<T> = std::result::Result<T, TableError>;
 
@@ -415,6 +417,43 @@ fn dec_ids(d: &mut Dec) -> Result<Vec<SourceId>> {
     Ok(out)
 }
 
+/// The pair-score cache section: the dictionary once, then fixed-width
+/// entries `(id_left u32, id_right u32, score f64, src_left u32, src_right
+/// u32)` in ascending id-pair order, written straight from the cache.
+fn enc_pairs(e: &mut Enc, cache: &PairScoreCache) {
+    let dictionary = cache.dictionary();
+    e.usize(dictionary.len());
+    for key in dictionary {
+        e.str(key);
+    }
+    e.usize(cache.len());
+    for p in cache.entries() {
+        e.u32(p.ids.0)
+            .u32(p.ids.1)
+            .f64(p.score)
+            .u32(p.sources.0)
+            .u32(p.sources.1);
+    }
+}
+
+fn dec_pairs(d: &mut Dec) -> Result<PairScoreCache> {
+    let n = d.usize()?;
+    let mut dictionary = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        dictionary.push(d.str()?);
+    }
+    let n = d.usize()?;
+    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        entries.push(PairEntry {
+            ids: (d.u32()?, d.u32()?),
+            score: d.f64()?,
+            sources: (d.u32()?, d.u32()?),
+        });
+    }
+    PairScoreCache::restore(dictionary, entries).map_err(bad)
+}
+
 // ---------------------------------------------------------------------------
 // Session state snapshot
 // ---------------------------------------------------------------------------
@@ -424,7 +463,7 @@ fn dec_ids(d: &mut Dec) -> Result<Vec<SourceId>> {
 /// checkpoint hit); the struct exists so serialization lives here while the
 /// private `Wrangler` fields stay private.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SessionState {
+pub struct SessionState<'a> {
     /// Session tick at pass start.
     pub now: u64,
     /// Source-access budget spent.
@@ -441,14 +480,9 @@ pub struct SessionState {
     pub acq_total_backoff: u64,
     /// Acquisition engine: the per-source breaker fleet.
     pub breakers: Vec<CircuitBreaker>,
-    /// ER pair-score cache entries, in key order: key, score, and the
-    /// source pair that produced the score (the partition-scoped eviction
-    /// grain — see `PairScoreCache::evict_sources`).
-    pub pair_entries: Vec<(String, f64, u32, u32)>,
-    /// Pair-cache hit counter.
-    pub pair_hits: u64,
-    /// Pair-cache miss counter.
-    pub pair_misses: u64,
+    /// The ER pair-score cache: borrowed from the session when saving (the
+    /// encoder reads it in place), owned after decoding.
+    pub pair_cache: Cow<'a, PairScoreCache>,
     /// Work counters.
     pub work: WorkCounters,
     /// The containment report of the pass so far.
@@ -457,7 +491,7 @@ pub struct SessionState {
     pub last_acquisition: AcquisitionSummary,
 }
 
-impl SessionState {
+impl SessionState<'_> {
     /// Serialize to the canonical checkpoint payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -477,11 +511,7 @@ impl SessionState {
         for b in &self.breakers {
             enc_breaker(&mut e, b);
         }
-        e.usize(self.pair_entries.len());
-        for (k, v, a, b) in &self.pair_entries {
-            e.str(k).f64(*v).u64(*a as u64).u64(*b as u64);
-        }
-        e.u64(self.pair_hits).u64(self.pair_misses);
+        enc_pairs(&mut e, &self.pair_cache);
         e.usize(self.work.extractions)
             .usize(self.work.mappings_generated)
             .usize(self.work.tables_mapped)
@@ -493,7 +523,7 @@ impl SessionState {
     }
 
     /// Decode a payload produced by [`encode`](Self::encode).
-    pub fn decode(bytes: &[u8]) -> Result<SessionState> {
+    pub fn decode(bytes: &[u8]) -> Result<SessionState<'static>> {
         let mut d = Dec::new(bytes);
         let now = d.u64()?;
         let access_spent = d.f64()?;
@@ -515,17 +545,7 @@ impl SessionState {
         for _ in 0..n {
             breakers.push(dec_breaker(&mut d)?);
         }
-        let n = d.usize()?;
-        let mut pair_entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let k = d.str()?;
-            let score = d.f64()?;
-            let a = d.u64()? as u32;
-            let b = d.u64()? as u32;
-            pair_entries.push((k, score, a, b));
-        }
-        let pair_hits = d.u64()?;
-        let pair_misses = d.u64()?;
+        let pair_cache = Cow::Owned(dec_pairs(&mut d)?);
         let work = WorkCounters {
             extractions: d.usize()?,
             mappings_generated: d.usize()?,
@@ -544,9 +564,7 @@ impl SessionState {
             acq_total_attempts,
             acq_total_backoff,
             breakers,
-            pair_entries,
-            pair_hits,
-            pair_misses,
+            pair_cache,
             work,
             creport,
             last_acquisition,
@@ -566,17 +584,28 @@ impl SessionState {
 // Stage output records
 // ---------------------------------------------------------------------------
 
-/// A full seam record: the session snapshot plus the stage's output bytes,
-/// each length-prefixed.
+/// Leading word of every seam record: a magic in the high half, the layout
+/// version in the low half. Bump the version on any layout change. Version
+/// 1 records had no such word — they open with the session payload's byte
+/// length, whose high half is zero for any record under 4 GiB — so an old
+/// record is always rejected, never mis-decoded.
+const RECORD_TAG: u64 = (0x5753_5354 << 32) | 2;
+
+/// A full seam record: the layout tag, then the session snapshot and the
+/// stage's output bytes, each length-prefixed.
 pub fn encode_record(state: &SessionState, output: &[u8]) -> Vec<u8> {
     let mut e = Enc::new();
-    e.bytes(&state.encode()).bytes(output);
+    e.u64(RECORD_TAG).bytes(&state.encode()).bytes(output);
     e.into_bytes()
 }
 
-/// Split a seam record back into `(state, output bytes)`.
-pub fn decode_record(bytes: &[u8]) -> Result<(SessionState, Vec<u8>)> {
+/// Split a seam record back into `(state, output bytes)`. A record of any
+/// other layout version is an error (the session treats it as a miss).
+pub fn decode_record(bytes: &[u8]) -> Result<(SessionState<'static>, Vec<u8>)> {
     let mut d = Dec::new(bytes);
+    if d.u64()? != RECORD_TAG {
+        return Err(bad("unknown record layout version"));
+    }
     let state_bytes = d.bytes()?;
     let state = SessionState::decode(state_bytes)?;
     let output = d.bytes()?.to_vec();
@@ -910,13 +939,57 @@ impl FuseOut {
     }
 }
 
+/// The version-1 record layout (no leading tag; the pair cache as one
+/// `len#left right` string per entry plus hit/miss counters), kept so tests
+/// can show such records are rejected.
+#[cfg(test)]
+pub(crate) fn encode_record_v1(state: &SessionState, output: &[u8]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(state.now).f64(state.access_spent);
+    e.usize(state.trust.len());
+    for b in &state.trust {
+        enc_belief(&mut e, b);
+    }
+    e.usize(state.relevance.len());
+    for &r in &state.relevance {
+        e.f64(r);
+    }
+    e.u64(state.acq_clock)
+        .u64(state.acq_total_attempts)
+        .u64(state.acq_total_backoff);
+    e.usize(state.breakers.len());
+    for b in &state.breakers {
+        enc_breaker(&mut e, b);
+    }
+    let dictionary = state.pair_cache.dictionary();
+    e.usize(state.pair_cache.len());
+    for p in state.pair_cache.entries() {
+        let (a, b) = (&dictionary[p.ids.0 as usize], &dictionary[p.ids.1 as usize]);
+        e.str(&format!("{}#{a}{b}", a.len()))
+            .f64(p.score)
+            .u64(u64::from(p.sources.0))
+            .u64(u64::from(p.sources.1));
+    }
+    e.u64(0).u64(0);
+    e.usize(state.work.extractions)
+        .usize(state.work.mappings_generated)
+        .usize(state.work.tables_mapped)
+        .usize(state.work.er_pairs)
+        .usize(state.work.slots_fused);
+    enc_creport(&mut e, &state.creport);
+    enc_summary(&mut e, &state.last_acquisition);
+    let mut rec = Enc::new();
+    rec.bytes(&e.into_bytes()).bytes(output);
+    rec.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wrangler_table::{Schema, Value};
     use wrangler_uncertainty::Evidence;
 
-    fn sample_state() -> SessionState {
+    fn sample_state() -> SessionState<'static> {
         let mut trust = Belief::from_prior(0.6);
         trust.update(&Evidence::vote(EvidenceKind::Component, false, 0.8).discounted(0.9));
         let mut creport = ContainmentReport::default();
@@ -941,12 +1014,24 @@ mod tests {
                 ),
                 CircuitBreaker::from_parts(BreakerConfig::default(), BreakerState::HalfOpen, 0, 1),
             ],
-            pair_entries: vec![
-                ("5#a|b".into(), 0.875, 0, 2),
-                ("9#x|y|z".into(), -0.0, 1, 1),
-            ],
-            pair_hits: 4,
-            pair_misses: 9,
+            pair_cache: Cow::Owned(
+                PairScoreCache::restore(
+                    vec!["t4:acme;".into(), "t7:acme co;".into()],
+                    [
+                        PairEntry {
+                            ids: (0, 1),
+                            score: 0.875,
+                            sources: (0, 2),
+                        },
+                        PairEntry {
+                            ids: (1, 1),
+                            score: -0.0,
+                            sources: (1, 1),
+                        },
+                    ],
+                )
+                .unwrap(),
+            ),
             work: WorkCounters {
                 extractions: 1,
                 mappings_generated: 2,
@@ -1134,5 +1219,104 @@ mod tests {
             let _ = SessionState::decode(&bytes);
             bytes[i] ^= 0xff;
         }
+    }
+    fn pair_bytes(cache: &PairScoreCache) -> Vec<u8> {
+        let mut e = Enc::new();
+        enc_pairs(&mut e, cache);
+        e.into_bytes()
+    }
+
+    /// A score drawn to hit the awkward bit patterns: NaN payloads, -0.0,
+    /// any raw pattern (±∞, subnormals), or a plain value.
+    fn awkward_score(kind: u8, bits: u64) -> f64 {
+        match kind {
+            0 => f64::from_bits(0x7ff8_0000_0000_0000 | (bits & 0x000f_ffff_ffff_ffff)),
+            1 => -0.0,
+            2 => f64::from_bits(bits),
+            _ => 0.5,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pair_section_roundtrips_bit_exact(
+            stems in proptest::prop::collection::vec("[ab]{0,3}", 0..6),
+            raw in proptest::prop::collection::vec(
+                ((0u32..8, 0u32..8), 0u8..4, proptest::prelude::any::<u64>(), (0u32..40, 0u32..40)),
+                0..24,
+            ),
+            bad_id in 0u32..4,
+        ) {
+            // Keys over a two-letter alphabet share prefixes ("a", "ab",
+            // "aba"); repeats are dropped, the dictionary stays distinct.
+            let mut dictionary: Vec<String> = Vec::new();
+            for stem in stems {
+                let key = format!("t{}:{stem};", stem.len());
+                if !dictionary.contains(&key) {
+                    dictionary.push(key);
+                }
+            }
+            let n = dictionary.len() as u32;
+            let mut entries: std::collections::BTreeMap<(u32, u32), PairEntry> = Default::default();
+            if n > 0 {
+                for ((a, b), kind, bits, sources) in raw {
+                    let ids = (a % n, b % n);
+                    entries.insert(ids, PairEntry {
+                        ids,
+                        score: awkward_score(kind, bits),
+                        sources,
+                    });
+                }
+            }
+            let cache = PairScoreCache::restore(dictionary.clone(), entries.values().copied()).unwrap();
+            let bytes = pair_bytes(&cache);
+            let mut d = Dec::new(&bytes);
+            let back = dec_pairs(&mut d).unwrap();
+            proptest::prop_assert_eq!(d.remaining(), 0);
+            proptest::prop_assert_eq!(back.dictionary(), &dictionary[..]);
+            type Bits = Vec<((u32, u32), u64, (u32, u32))>;
+            let bits = |c: &PairScoreCache| -> Bits {
+                c.entries().map(|e| (e.ids, e.score.to_bits(), e.sources)).collect()
+            };
+            proptest::prop_assert_eq!(bits(&back), bits(&cache));
+            proptest::prop_assert_eq!(pair_bytes(&back), bytes, "canonical re-encode");
+
+            // An entry naming an id at or past the dictionary's end is a
+            // decode error, never a silent remap.
+            let mut e = Enc::new();
+            e.usize(dictionary.len());
+            for key in &dictionary {
+                e.str(key);
+            }
+            e.usize(1).u32(0).u32(n + bad_id).f64(0.5).u32(0).u32(0);
+            let bad = e.into_bytes();
+            proptest::prop_assert!(dec_pairs(&mut Dec::new(&bad)).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_pair_cache_roundtrips() {
+        let bytes = pair_bytes(&PairScoreCache::default());
+        assert_eq!(bytes.len(), 16, "two zero counts");
+        let back = dec_pairs(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(back, PairScoreCache::default());
+    }
+
+    #[test]
+    fn old_layout_records_are_rejected_not_misdecoded() {
+        let s = sample_state();
+        let out = SelectOut {
+            selected: vec![SourceId(0)],
+        }
+        .encode();
+        let v1 = encode_record_v1(&s, &out);
+        assert!(decode_record(&v1).is_err());
+        // An empty cache and an empty output too: there is no v1 record a
+        // v2 decoder accepts.
+        let mut empty = sample_state();
+        empty.pair_cache = Cow::Owned(PairScoreCache::default());
+        assert!(decode_record(&encode_record_v1(&empty, &[])).is_err());
+        // The current layout still decodes.
+        assert_eq!(decode_record(&encode_record(&s, &out)).unwrap().0, s);
     }
 }

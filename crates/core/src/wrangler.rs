@@ -1,5 +1,6 @@
 //! The end-to-end wrangling session.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap}; // hash-ok: HashMap here is lookup-only (slot/feedback state); nothing iterates it into output
 
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
@@ -41,7 +42,7 @@ use crate::contain::{
 };
 use crate::lower::{self, LowerInput};
 use crate::planner::{Plan, SelectionStrategy};
-use crate::working::{Artifact, PairScoreCache, WorkingData};
+use crate::working::{Artifact, WorkingData};
 
 /// Per-source wrangling state in the Working Data.
 #[derive(Debug, Clone)]
@@ -732,7 +733,7 @@ impl Wrangler {
 
     /// Snapshot everything this pass has mutated so far (see
     /// [`SessionState`]); stored inside every seam record.
-    fn snapshot_state(&self, creport: &ContainmentReport) -> SessionState {
+    fn snapshot_state(&self, creport: &ContainmentReport) -> SessionState<'_> {
         SessionState {
             now: self.now,
             access_spent: self.access_spent,
@@ -742,14 +743,7 @@ impl Wrangler {
             acq_total_attempts: self.acquisition.total_attempts,
             acq_total_backoff: self.acquisition.total_backoff_ticks,
             breakers: self.acquisition.breakers().to_vec(),
-            pair_entries: self
-                .working
-                .pair_scores
-                .entries()
-                .map(|(k, v, a, b)| (k.to_string(), v, a, b))
-                .collect(),
-            pair_hits: self.working.pair_scores.hits(),
-            pair_misses: self.working.pair_scores.misses(),
+            pair_cache: Cow::Borrowed(&self.working.pair_scores),
             work: self.working.work,
             creport: creport.clone(),
             last_acquisition: self.last_acquisition.clone(),
@@ -760,7 +754,7 @@ impl Wrangler {
     /// report) now look exactly as they did when the record was written, so
     /// side effects (trust discounts, breaker trips, quarantines) are never
     /// re-applied on replay.
-    fn restore_state(&mut self, st: SessionState, creport: &mut ContainmentReport) {
+    fn restore_state(&mut self, st: SessionState<'static>, creport: &mut ContainmentReport) {
         self.now = st.now;
         self.access_spent = st.access_spent;
         for (i, b) in st.trust.into_iter().enumerate() {
@@ -776,8 +770,7 @@ impl Wrangler {
         self.acquisition.total_attempts = st.acq_total_attempts;
         self.acquisition.total_backoff_ticks = st.acq_total_backoff;
         self.acquisition.restore_state(st.acq_clock, st.breakers);
-        self.working.pair_scores =
-            PairScoreCache::restore(st.pair_entries, st.pair_hits, st.pair_misses);
+        self.working.pair_scores = st.pair_cache.into_owned();
         self.working.work = st.work;
         *creport = st.creport;
         self.last_acquisition = st.last_acquisition;
@@ -2408,23 +2401,21 @@ impl Wrangler {
         self.crash_fire(CrashSite::MidEr);
         // Score through the precompiled kernel: the ER config is compiled
         // once against the union schema (an unknown column errors before any
-        // scoring), per-row renderings/token sets are cached, and only pairs
-        // whose row content the session has not scored before reach the
+        // scoring), per-row renderings/token sets are cached, and only
+        // distinct content pairs the session has not scored before reach the
         // worker pool — the rest come from the content-keyed pair-score
-        // cache. Clusters and scores are byte-identical to the serial path
-        // for any worker count.
+        // cache or copy the score of an earlier pair with the same content.
+        // Clusters and scores are byte-identical to the serial path for any
+        // worker count.
         let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
-        let keys = kernel.content_keys();
         let mut scores = vec![0.0f64; candidates.len()];
-        let mut miss_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut miss_slots: Vec<(usize, String)> = Vec::new();
         // The index-remap fast path: when the previous pass's memo was built
         // under the same fingerprints and both layouts cover their unions,
         // rows of unchanged blocks map old→new by offset, and a clean-clean
         // candidate pair replays its score through an integer binary search —
-        // no string content key is rendered, and the pair cache's hit/miss
-        // statistics stay untouched. Pairs touching changed rows fall
-        // through to the content-keyed cache path, which is always sound.
+        // no content key is rendered, and the pair cache is not consulted.
+        // Pairs touching changed rows fall through to the content-keyed
+        // cache path, which is always sound.
         let layout_rows: usize = ctx.layout.iter().map(|&(_, _, n)| n).sum();
         let rowmap: Option<Vec<Option<usize>>> = if ctx.remap
             && layout_rows == union_table.num_rows()
@@ -2442,45 +2433,35 @@ impl Wrangler {
             None
         };
         let mut remapped = 0u64;
+        let mut todo: Vec<usize> = Vec::with_capacity(candidates.len());
+        let mut todo_pairs: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
         for (k, &(i, j)) in candidates.iter().enumerate() {
-            if let Some(map) = &rowmap {
-                if let Some((oi, oj)) = wrangler_resolve::blocking::remap_candidate((i, j), map) {
-                    if let Some(s) = self
-                        .incr
-                        .er
-                        .as_ref()
-                        .and_then(|m| m.score_of(incr::pack_pair(oi, oj)))
-                    {
-                        scores[k] = s;
-                        remapped += 1;
-                        continue;
-                    }
+            let replay = rowmap.as_ref().and_then(|map| {
+                let (oi, oj) = wrangler_resolve::blocking::remap_candidate((i, j), map)?;
+                self.incr.er.as_ref()?.score_of(incr::pack_pair(oi, oj))
+            });
+            match replay {
+                Some(s) => {
+                    scores[k] = s;
+                    remapped += 1;
                 }
-            }
-            let ck = PairScoreCache::pair_key(&keys[i], &keys[j]);
-            match self.working.pair_scores.lookup(&ck) {
-                Some(s) => scores[k] = s,
                 None => {
-                    miss_pairs.push((i, j));
-                    miss_slots.push((k, ck));
+                    todo.push(k);
+                    todo_pairs.push((i, j));
                 }
             }
         }
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
         // applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (miss_scores, worker_stats) = kernel.score_pairs_parallel(&miss_pairs, workers)?;
-        for (((k, ck), &(i, j)), &s) in miss_slots
-            .into_iter()
-            .zip(miss_pairs.iter())
-            .zip(&miss_scores)
-        {
+        let (todo_scores, pass) =
+            self.working
+                .pair_scores
+                .score_pass(&kernel, &todo_pairs, ctx.union_srcs, |p| {
+                    kernel.score_pairs_parallel(p, workers)
+                })?;
+        for (&k, s) in todo.iter().zip(todo_scores) {
             scores[k] = s;
-            let tag = (
-                ctx.union_srcs.get(i).copied().unwrap_or(0),
-                ctx.union_srcs.get(j).copied().unwrap_or(0),
-            );
-            self.working.pair_scores.insert(ck, s, tag);
         }
         let pairs = kernel.filter_matches(&candidates, &scores);
         let clusters = cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
@@ -2513,15 +2494,13 @@ impl Wrangler {
                 scores: packed,
             });
         }
-        for (w, st) in worker_stats.iter().enumerate() {
+        for (w, st) in pass.workers.iter().enumerate() {
             self.obs.count(&format!("er.worker{w}.items"), st.items);
             self.obs.record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
         }
-        self.obs.count(
-            "er.cache.hits",
-            (candidates.len() - miss_pairs.len()) as u64 - remapped,
-        );
-        self.obs.count("er.cache.misses", miss_pairs.len() as u64);
+        self.obs.count("er.cache.hits", pass.hits);
+        self.obs.count("er.cache.deduped", pass.deduped);
+        self.obs.count("er.cache.misses", pass.misses);
         self.obs.count("incr.er.pairs_remapped", remapped);
         self.obs.count("er.candidates", candidates.len() as u64);
         self.obs.count("er.match_pairs", pairs.len() as u64);
@@ -3894,14 +3873,32 @@ mod tests {
         assert!(m2.timings.contains_key("rewrangle/assemble"));
     }
 
+    /// Every ER candidate is answered exactly one way: remapped from the
+    /// previous pass's memo, a pair-cache hit, a copy of an earlier
+    /// candidate with the same content pair, or a kernel score. Counters are
+    /// cumulative, so the identity holds after every pass.
+    fn assert_er_ledger_balances(m: &MetricsReport) {
+        let c = |k: &str| m.counts.get(k).copied().unwrap_or(0);
+        assert_eq!(
+            c("er.candidates"),
+            c("incr.er.pairs_remapped")
+                + c("er.cache.hits")
+                + c("er.cache.deduped")
+                + c("er.cache.misses"),
+            "{m:?}"
+        );
+    }
+
     #[test]
     fn er_worker_counters_cover_candidates_and_cache_replays_unchanged_rows() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::balanced("t")).with_er_workers(3);
         let out = w.wrangle().unwrap();
         let m = &out.metrics;
-        // Per-worker ER items sum to the candidate count; with a fresh cache
-        // every candidate is a miss and no worker sits idle.
+        assert_er_ledger_balances(m);
+        // Per-worker ER items sum to the kernel's work: the distinct content
+        // pairs the cache missed. With a fresh cache every candidate is
+        // either such a miss or a copy of one.
         let worker_items: Vec<u64> = m
             .counts
             .iter()
@@ -3909,26 +3906,41 @@ mod tests {
             .map(|(_, v)| *v)
             .collect();
         assert!(!worker_items.is_empty());
-        assert_eq!(worker_items.iter().sum::<u64>(), m.counts["er.candidates"]);
+        assert_eq!(
+            worker_items.iter().sum::<u64>(),
+            m.counts["er.cache.misses"]
+        );
         assert!(
             worker_items.iter().all(|&n| n > 0),
             "no worker may be idle: {worker_items:?}"
         );
-        assert_eq!(m.counts["er.cache.misses"], m.counts["er.candidates"]);
+        assert_eq!(
+            m.counts["er.cache.misses"] + m.counts["er.cache.deduped"],
+            m.counts["er.candidates"]
+        );
         // Zero-valued counters are never recorded, so a cold cache leaves no
         // hits entry at all.
         assert!(!m.counts.contains_key("er.cache.hits"));
         // Force the structural path with unchanged rows: every pair score
-        // must come from the content-keyed cache, and the output must be
-        // identical to the first pass. Counters are cumulative across
-        // passes, so compare the second pass as a delta over the first.
+        // must come from the content-keyed cache (once per content pair,
+        // copied to the rest), and the output must be identical to the first
+        // pass. Counters are cumulative across passes, so compare the second
+        // pass as a delta over the first.
         w.working.invalidate(Artifact::Clusters);
         let out2 = w.rewrangle().unwrap();
         let m2 = &out2.metrics;
+        assert_er_ledger_balances(m2);
         let per_pass = m.counts["er.candidates"];
         assert_eq!(m2.counts["er.candidates"], 2 * per_pass);
-        assert_eq!(m2.counts["er.cache.hits"], per_pass);
-        assert_eq!(m2.counts["er.cache.misses"], per_pass, "no new misses");
+        assert_eq!(
+            m2.counts["er.cache.misses"], m.counts["er.cache.misses"],
+            "no new misses"
+        );
+        assert_eq!(
+            m2.counts["er.cache.hits"] + m2.counts["er.cache.deduped"]
+                - m.counts["er.cache.deduped"],
+            per_pass
+        );
         assert_eq!(out2.entities, out.entities);
         assert_eq!(out2.table, out.table);
     }
@@ -4230,6 +4242,7 @@ mod tests {
             m.counts["incr.er.pairs_remapped"] > 0,
             "clean-clean pairs must remap: {m:?}"
         );
+        assert_er_ledger_balances(&m);
         // The pair cache was evicted partition-scoped, not wiped.
         assert!(m.counts["incr.pair_cache.evicted"] > 0);
         assert!(
@@ -4499,16 +4512,66 @@ mod tests {
             w.working
                 .pair_scores
                 .entries()
-                .all(|(_, _, a, b)| a != victim.0 && b != victim.0),
+                .all(|e| e.sources.0 != victim.0 && e.sources.1 != victim.0),
             "every surviving entry avoids the updated source"
         );
         // On a fleet this small a third of the pairs can touch the victim;
         // the E18 harness checks the >= 0.90 retention bound at 40 sources.
         let retention = remaining as f64 / entries_before as f64;
         assert!(retention >= 0.5, "retention {retention} collapsed");
+        // The dictionary keeps only the content ids some survivor references.
+        let live: std::collections::BTreeSet<u32> = w
+            .working
+            .pair_scores
+            .entries()
+            .flat_map(|e| [e.ids.0, e.ids.1])
+            .collect();
+        assert_eq!(live.len(), w.working.pair_scores.dictionary().len());
         // And the surviving scores replay bit-identically: the next pass's
         // clean-partition pairs hit cache/remap and the output matches cold.
         assert_incremental_matches_cold(&mut w);
+    }
+
+    #[test]
+    fn old_layout_checkpoint_records_miss_and_recompute() {
+        let fleet = small_fleet();
+        let dir = wrangler_ckpt::scratch_dir("v1-records");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let mut first = session(&fleet, UserContext::balanced("t")).with_checkpoint_store(store);
+        let out1 = first.wrangle().unwrap();
+        // Rewrite every record, under its own key, into the version-1 layout.
+        let store = CheckpointStore::open(&dir).unwrap();
+        let keys: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| {
+                let path = e.ok()?.path();
+                (path.extension()? == "ckpt").then_some(())?;
+                u64::from_str_radix(path.file_stem()?.to_str()?, 16).ok()
+            })
+            .collect();
+        assert!(!keys.is_empty());
+        for &key in &keys {
+            let (state, out) = ckpt_io::decode_record(&store.get(key).unwrap()).unwrap();
+            store
+                .put(key, &ckpt_io::encode_record_v1(&state, &out))
+                .unwrap();
+        }
+        // A fresh session finds every record, loads none, and recomputes
+        // the same outcome.
+        let mut second = session(&fleet, UserContext::balanced("t")).with_checkpoint_store(store);
+        let out2 = second.resume().unwrap();
+        let counts = &out2.metrics.counts;
+        assert!(
+            !counts
+                .keys()
+                .any(|k| k.starts_with("ckpt.") && k.ends_with(".hits")),
+            "{counts:?}"
+        );
+        assert_eq!(counts["ckpt.select.misses"], 1);
+        assert_eq!(second.checkpoint_store().unwrap().stats().torn_detected, 0);
+        assert_eq!(outcome_fingerprint(&out2), outcome_fingerprint(&out1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

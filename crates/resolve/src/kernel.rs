@@ -337,37 +337,39 @@ impl ErKernel {
     /// basis of the Working Data pair-score cache. Every variable-length
     /// segment is length-prefixed, so keys are unambiguous.
     pub fn content_keys(&self) -> Vec<String> {
+        (0..self.rows).map(|r| self.content_key(r)).collect()
+    }
+
+    /// The content key of row `r` alone (see [`Self::content_keys`]), for
+    /// callers that only need the rows some pair actually touches.
+    pub fn content_key(&self, r: usize) -> String {
         use std::fmt::Write as _;
-        (0..self.rows)
-            .map(|r| {
-                let mut key = String::new();
-                for f in &self.fields {
-                    match &f.cells {
-                        FieldCells::Text(cells) => match &cells[r] {
-                            Some(c) => {
-                                let _ = write!(key, "t{}:{};", c.lower.len(), c.lower);
-                            }
-                            None => key.push_str("t-;"),
-                        },
-                        FieldCells::Exact(cells) => match &cells[r] {
-                            Some(s) => {
-                                let _ = write!(key, "e{}:{};", s.len(), s);
-                            }
-                            None => key.push_str("e-;"),
-                        },
-                        FieldCells::Numeric { cells, .. } => match cells[r] {
-                            NumCell::Null => key.push_str("n-;"),
-                            NumCell::Finite(x) => {
-                                let _ = write!(key, "n{:016x};", x.to_bits());
-                            }
-                            NumCell::NonFinite => key.push_str("nf;"),
-                            NumCell::NonNumeric => key.push_str("nn;"),
-                        },
+        let mut key = String::new();
+        for f in &self.fields {
+            match &f.cells {
+                FieldCells::Text(cells) => match &cells[r] {
+                    Some(c) => {
+                        let _ = write!(key, "t{}:{};", c.lower.len(), c.lower);
                     }
-                }
-                key
-            })
-            .collect()
+                    None => key.push_str("t-;"),
+                },
+                FieldCells::Exact(cells) => match &cells[r] {
+                    Some(s) => {
+                        let _ = write!(key, "e{}:{};", s.len(), s);
+                    }
+                    None => key.push_str("e-;"),
+                },
+                FieldCells::Numeric { cells, .. } => match cells[r] {
+                    NumCell::Null => key.push_str("n-;"),
+                    NumCell::Finite(x) => {
+                        let _ = write!(key, "n{:016x};", x.to_bits());
+                    }
+                    NumCell::NonFinite => key.push_str("nf;"),
+                    NumCell::NonNumeric => key.push_str("nn;"),
+                },
+            }
+        }
+        key
     }
 }
 
