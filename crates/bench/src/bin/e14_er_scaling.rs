@@ -53,12 +53,9 @@ use wrangler_core::working::Artifact;
 use wrangler_core::Wrangler;
 use wrangler_fusion::strategies::fuse_attribute;
 use wrangler_fusion::{FuseKernel, FusedValue};
-use wrangler_resolve::{
-    candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
-    ScoredPair,
-};
+use wrangler_resolve::{cluster_pairs, er_candidates, match_pairs, ErConfig, ErKernel, ScoredPair};
 use wrangler_sources::FleetConfig;
-use wrangler_table::{par, Table};
+use wrangler_table::par;
 
 const SEED: u64 = 1401;
 /// The last entry is the 10× fleet the scaling gate reads (10, 20, 40
@@ -74,19 +71,6 @@ fn build(num_sources: usize) -> Wrangler {
     };
     let f = fleet(&cfg, SEED);
     session(&f, UserContext::balanced("e14"))
-}
-
-/// The pipeline's ER candidate set over a union table: name blocking plus
-/// exact-key blocking, sorted and deduplicated (mirrors the wrangle stage).
-fn pipeline_candidates(union: &Table) -> Vec<(usize, usize)> {
-    let mut candidates =
-        candidates_blocked(union, "name").expect("union has a name column"); // lint-allow: experiment fixture
-    candidates.extend(
-        candidates_blocked_exact(union, "sku").expect("union has a sku column"), // lint-allow: experiment fixture
-    );
-    candidates.sort_unstable();
-    candidates.dedup();
-    candidates
 }
 
 /// Best (minimum) wall-clock seconds of `REPS` runs of `f` — the standard
@@ -145,7 +129,9 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
     w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
     let union = w.union_table().expect("wrangle caches the union"); // lint-allow: experiment fixture
     let cfg: ErConfig = w.er_config().clone();
-    let candidates = pipeline_candidates(&union);
+    // The pipeline's ER candidate set: name blocking plus exact-key
+    // blocking, as the wrangle stage builds it.
+    let candidates = er_candidates(&union, "name", "sku").expect("union has name and sku columns"); // lint-allow: experiment fixture
 
     // --- ER: serial reference vs kernel at each worker count ----------------
     // Serial reference: the uncompiled path, column names resolved once but

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use wrangler_bench::{default_fleet_config, fleet, header, row, session};
 use wrangler_context::UserContext;
-use wrangler_core::{WrangleOutcome, Wrangler};
+use wrangler_core::{MetricsReport, WrangleOutcome, Wrangler};
 use wrangler_sources::{SourceId, SyntheticFleet};
 use wrangler_table::{wire, Table, Value};
 
@@ -119,6 +119,26 @@ fn warmed_and_updated(
     (w, first.metrics.counts)
 }
 
+/// Wall time (ms) each span under `wrangle` gained between two snapshots
+/// of one session: the stages, and one level below them (the ER stage's
+/// steps). Worker busy time runs in parallel with its stage and is left
+/// out; spans that did not run are dropped.
+fn ledger(before: &MetricsReport, after: &MetricsReport) -> Vec<(String, f64)> {
+    after
+        .timings
+        .iter()
+        .filter(|(path, _)| {
+            let depth = path.matches('/').count();
+            path.starts_with("wrangle/") && (1..=2).contains(&depth) && !path.contains("/worker")
+        })
+        .filter_map(|(path, t)| {
+            let prev = before.timings.get(path).map_or(0, |p| p.nanos);
+            let ms = t.nanos.saturating_sub(prev) as f64 / 1e6;
+            (ms > 0.0).then(|| (path.clone(), ms))
+        })
+        .collect()
+}
+
 fn main() {
     if std::env::args().any(|a| a == "--counts") {
         // Deterministic half: cold pass, 1-source update, incremental pass;
@@ -162,17 +182,23 @@ fn main() {
     let mut ratio_at_1 = f64::NAN;
     let mut all_identical = true;
     let mut retention = f64::NAN;
+    let mut ledger_at_1 = Vec::new();
     for k in UPDATE_COUNTS {
         let (base, snap) = warmed_and_updated(&f, k);
         // Timed incremental reps: clone the post-update state so every rep
         // starts from the same memos.
         let mut incr_secs = f64::INFINITY;
         let mut warm_out = None;
+        let mut best_ledger = Vec::new();
         for _ in 0..TIMING_REPS {
             let mut w = base.clone();
             let t = Instant::now();
             let out = std::hint::black_box(w.wrangle().expect("incremental pass")); // lint-allow: experiment fixture
-            incr_secs = incr_secs.min(t.elapsed().as_secs_f64());
+            let secs = t.elapsed().as_secs_f64();
+            if secs < incr_secs {
+                incr_secs = secs;
+                best_ledger = ledger(&base.metrics(), &out.metrics);
+            }
             warm_out = Some(out);
         }
         let mut cold_secs = f64::INFINITY;
@@ -192,6 +218,7 @@ fn main() {
         let ratio = incr_secs / cold_secs;
         if k == 1 {
             ratio_at_1 = ratio;
+            ledger_at_1 = best_ledger;
             let m = &warm_out.metrics.counts;
             let evicted = m.get("incr.pair_cache.evicted").copied().unwrap_or(0);
             let retained = m.get("incr.pair_cache.retained").copied().unwrap_or(0);
@@ -250,10 +277,25 @@ fn main() {
         if verdict_retention { "above" } else { "BELOW" },
     );
 
+    println!("\nk=1 incremental pass, fastest rep (ms, spans under wrangle):");
+    for (path, ms) in &ledger_at_1 {
+        let depth = path.matches('/').count();
+        println!(
+            "  {:indent$}{path:<26} {ms:>8.2}",
+            "",
+            indent = 2 * (depth - 1)
+        );
+    }
+    let ledger_json: Vec<String> = ledger_at_1
+        .iter()
+        .map(|(path, ms)| format!("\"{path}\":{ms:.3}"))
+        .collect();
+
     let json = format!(
         "{{\"experiment\":\"e18_incremental\",\"seed\":{SEED},\"num_sources\":40,\
          \"num_products\":100,\"timing_reps\":{TIMING_REPS},\
-         \"pair_cache_retention\":{retention:.4},\"rows\":[{}]}}\n",
+         \"pair_cache_retention\":{retention:.4},\"k1_ledger_ms\":{{{}}},\"rows\":[{}]}}\n",
+        ledger_json.join(","),
         rows_json.join(",")
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);

@@ -14,8 +14,9 @@
 //!   content. When the union changed (some block is dirty), the memo still
 //!   pays: its per-pair scores are kept under *packed row indices*, and the
 //!   block layout lets rows of unchanged blocks remap old→new by offset, so
-//!   clean-clean candidate pairs replay through an integer binary search
-//!   instead of re-rendering string content keys.
+//!   clean-clean candidate pairs replay through a merge-join of the sorted
+//!   candidates against the sorted scores ([`ErMemo::replay`]) instead of
+//!   re-rendering string content keys.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
 //!   the union/clustering content plus every input that can ripple into a
 //!   fused value (belief trust, source ages, master data).
@@ -75,7 +76,7 @@ pub struct ErMemo {
     /// `(source, block key)` and shifts row indices by block offset.
     pub layout: Vec<(usize, u64, usize)>,
     /// Every candidate pair's score, keyed by [`pack_pair`] of its (old)
-    /// row indices, sorted for binary search.
+    /// row indices, ascending by key (the sorted candidate order).
     pub scores: Vec<(u64, f64)>,
 }
 
@@ -87,6 +88,68 @@ impl ErMemo {
             .ok()
             .map(|idx| self.scores[idx].1)
     }
+
+    /// Replay memoized scores onto this pass's `candidates`: each pair whose
+    /// rows both map through `rowmap` (see [`remap_rows`]) takes the score
+    /// its old pair had, if that pair was a memoized candidate. The result
+    /// equals [`Self::score_of`] on every remapped pair.
+    ///
+    /// The walk is a merge-join. A cursor moves forward through `scores`
+    /// by galloping (doubling steps, then a binary search inside the last
+    /// step). When the clean blocks keep their order in the union, the row
+    /// map is monotone, so sorted candidates remap to ascending keys and the
+    /// walk is O(candidates + memo). A key behind the cursor (blocks
+    /// reordered, or candidates not sorted) falls back to a binary search
+    /// of everything before the cursor and restarts the cursor there; that
+    /// stays correct, only slower.
+    pub fn replay(&self, rowmap: &[Option<usize>], candidates: &[(usize, usize)]) -> ErReplay {
+        let memo = &self.scores;
+        let mut out = ErReplay {
+            scores: vec![0.0; candidates.len()],
+            todo: Vec::new(),
+        };
+        let mut cursor = 0usize;
+        for (k, &pair) in candidates.iter().enumerate() {
+            let Some((oi, oj)) = wrangler_resolve::blocking::remap_candidate(pair, rowmap) else {
+                out.todo.push(k);
+                continue;
+            };
+            let key = pack_pair(oi, oj);
+            cursor = if cursor > 0 && memo[cursor - 1].0 >= key {
+                memo[..cursor].partition_point(|&(m, _)| m < key)
+            } else {
+                cursor + gallop(&memo[cursor..], key)
+            };
+            match memo.get(cursor) {
+                Some(&(m, s)) if m == key => out.scores[k] = s,
+                _ => out.todo.push(k),
+            }
+        }
+        out
+    }
+}
+
+/// Index of the first entry of ascending `entries` whose key is `>= key`
+/// (`entries.len()` if none), found by doubling steps from the front and
+/// then a binary search inside the last step: O(log d) for an answer at d.
+fn gallop(entries: &[(u64, f64)], key: u64) -> usize {
+    let (mut lo, mut step) = (0usize, 1usize);
+    while lo + step <= entries.len() && entries[lo + step - 1].0 < key {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(entries.len());
+    lo + entries[lo..hi].partition_point(|&(m, _)| m < key)
+}
+
+/// Memoized scores replayed onto one pass's candidates ([`ErMemo::replay`]).
+#[derive(Debug)]
+pub struct ErReplay {
+    /// Score per candidate, in candidate order. A slot listed in `todo`
+    /// holds `0.0` until the caller scores it.
+    pub scores: Vec<f64>,
+    /// Indices of the candidates with no replayable score, ascending.
+    pub todo: Vec<usize>,
 }
 
 /// The memoized fuse stage (trust vector, ages, fused slots).
@@ -248,6 +311,58 @@ mod tests {
         };
         assert_eq!(memo.score_of(pack_pair(2, 0)), Some(0.75));
         assert_eq!(memo.score_of(pack_pair(1, 2)), None);
+    }
+
+    fn memo_with(scores: Vec<(u64, f64)>) -> ErMemo {
+        ErMemo {
+            key: 0,
+            pass_fp: 0,
+            prog_fp: 0,
+            clusters: Vec::new(),
+            row_entity: Vec::new(),
+            layout: Vec::new(),
+            scores,
+        }
+    }
+
+    #[test]
+    fn replay_merge_joins_a_monotone_map() {
+        // Old union: rows 0..4; memo holds (0,1), (0,3), (2,3).
+        let memo = memo_with(vec![
+            (pack_pair(0, 1), 0.25),
+            (pack_pair(0, 3), 0.5),
+            (pack_pair(2, 3), 0.75),
+        ]);
+        // New union: a fresh row 0, then old rows 0..4 shifted by one.
+        let map = [None, Some(0), Some(1), Some(2), Some(3)];
+        let cands = [(0, 1), (1, 2), (1, 3), (1, 4), (3, 4)];
+        let r = memo.replay(&map, &cands);
+        assert_eq!(r.todo, vec![0, 2]);
+        assert_eq!(r.scores, vec![0.0, 0.25, 0.0, 0.5, 0.75]);
+    }
+
+    #[test]
+    fn replay_falls_back_behind_the_cursor() {
+        // Blocks swapped: new rows 0..2 are old rows 2..4 and vice versa,
+        // so remapped keys go backwards mid-walk.
+        let memo = memo_with(vec![(pack_pair(0, 1), 0.1), (pack_pair(2, 3), 0.9)]);
+        let map = [Some(2), Some(3), Some(0), Some(1)];
+        let r = memo.replay(&map, &[(0, 1), (2, 3), (0, 1)]);
+        assert!(r.todo.is_empty());
+        assert_eq!(r.scores, vec![0.9, 0.1, 0.9]);
+        // Nothing to replay from an empty memo.
+        let empty = memo_with(Vec::new()).replay(&map, &[(0, 1)]);
+        assert_eq!(empty.todo, vec![0]);
+    }
+
+    #[test]
+    fn gallop_finds_the_lower_bound() {
+        let entries: Vec<(u64, f64)> = (0..40).map(|k| (3 * k, 0.0)).collect();
+        for key in 0..125 {
+            let want = entries.partition_point(|&(m, _)| m < key);
+            assert_eq!(gallop(&entries, key), want, "key {key}");
+        }
+        assert_eq!(gallop(&[], 7), 0);
     }
 
     #[test]

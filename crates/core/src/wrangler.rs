@@ -17,9 +17,7 @@ use wrangler_match::{profile_table, MatchConfig};
 use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
 use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
-use wrangler_resolve::{
-    candidates_blocked, cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind,
-};
+use wrangler_resolve::{cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind};
 use wrangler_sources::faults::{Degradation, FaultConfig, FaultProfile};
 use wrangler_sources::{
     select_greedy_utility, select_marginal_gain, Source, SourceEstimate, SourceId, SourceMeta,
@@ -2004,12 +2002,14 @@ impl Wrangler {
                             }
                         }
                     };
-                    let out = ckpt_io::ErOut {
-                        clusters: er.clusters.clone(),
-                        row_entity: er.row_entity.clone(),
+                    if ckpt_on {
+                        let out = ckpt_io::ErOut {
+                            clusters: er.clusters.clone(),
+                            row_entity: er.row_entity.clone(),
+                        }
+                        .encode();
+                        self.ckpt_save("er", k_er, creport, &out);
                     }
-                    .encode();
-                    self.ckpt_save("er", k_er, creport, &out);
                     er
                 }
             };
@@ -2371,29 +2371,31 @@ impl Wrangler {
         Ok(outcome)
     }
 
+    /// ER candidate pairs over a union table: blocked on the name-ish column
+    /// AND the key column, so rows whose name is null or typo-prefixed
+    /// still meet their duplicates through the key. Sorted, deduplicated.
+    fn er_candidates(&self, union_table: &Table) -> wrangler_table::Result<Vec<(usize, usize)>> {
+        let key_col = &self.target.fields()[0].name;
+        wrangler_resolve::er_candidates(union_table, &blocking_column(&self.target), key_col)
+    }
+
     /// The ER section of a wrangle: candidate generation (blocked on name +
-    /// key), kernel scoring through the content-keyed pair cache, match
-    /// filtering and clustering. Factored out so `wrangle_contained` can run
-    /// it under panic isolation.
+    /// key), memo replay of clean pairs, kernel scoring of the rest through
+    /// the content-keyed pair cache, match filtering, clustering and memo
+    /// storage — each timed as a child span of `er` (`candidates`,
+    /// `compile`, `replay`, `score`, `cluster`, `memo`). Factored out so
+    /// `wrangle_contained` can run it under panic isolation.
     fn er_stage(
         &mut self,
         union_table: &Table,
         ctx: &ErIncrCtx<'_>,
     ) -> wrangler_table::Result<ErStageOutcome> {
-        // Block on the name-ish column AND the key column: rows whose name is
-        // null or typo-prefixed still meet their duplicates through the key.
-        let block_col = blocking_column(&self.target);
-        let key_col = self.target.fields()[0].name.clone();
-        let mut candidates = candidates_blocked(union_table, &block_col)?;
-        if key_col != block_col {
-            candidates.extend(wrangler_resolve::candidates_blocked_exact(
-                union_table,
-                &key_col,
-            )?);
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
+        // Each timed step is a child span of `er`; worker busy time is
+        // recorded after they close, so it lands at `er/workerN`.
+        self.obs.begin("candidates");
+        let candidates = self.er_candidates(union_table)?;
         self.working.work.er_pairs += candidates.len();
+        self.obs.end();
         // Mid-stage crash site: after candidate generation, before scoring —
         // the worst place to die (ER dominates wall-clock), which is exactly
         // why the harness injects here. No seam has persisted for this
@@ -2407,52 +2409,41 @@ impl Wrangler {
         // cache or copy the score of an earlier pair with the same content.
         // Clusters and scores are byte-identical to the serial path for any
         // worker count.
+        self.obs.begin("compile");
         let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
-        let mut scores = vec![0.0f64; candidates.len()];
+        self.obs.end();
         // The index-remap fast path: when the previous pass's memo was built
         // under the same fingerprints and both layouts cover their unions,
-        // rows of unchanged blocks map old→new by offset, and a clean-clean
-        // candidate pair replays its score through an integer binary search —
-        // no content key is rendered, and the pair cache is not consulted.
-        // Pairs touching changed rows fall through to the content-keyed
-        // cache path, which is always sound.
+        // rows of unchanged blocks map old→new by offset, and clean-clean
+        // candidate pairs replay their scores through a merge-join against
+        // the memo — no content key is rendered, and the pair cache is not
+        // consulted. Pairs touching changed rows fall through to the
+        // content-keyed cache path, which is always sound.
+        self.obs.begin("replay");
         let layout_rows: usize = ctx.layout.iter().map(|&(_, _, n)| n).sum();
-        let rowmap: Option<Vec<Option<usize>>> = if ctx.remap
-            && layout_rows == union_table.num_rows()
-        {
-            self.incr.er.as_ref().and_then(|m| {
-                let old_rows: usize = m.layout.iter().map(|&(_, _, n)| n).sum();
-                // pass_fp pins the scoring config; the per-block keys in the
-                // layout pin row content. The whole-program fingerprint is
-                // deliberately not required — a dirty source's regenerated
-                // mapping shifts it without touching any clean row.
-                (m.pass_fp == ctx.pass_fp && old_rows == m.row_entity.len())
-                    .then(|| incr::remap_rows(&m.layout, ctx.layout))
-            })
-        } else {
-            None
+        let memo = self.incr.er.as_ref().filter(|m| {
+            // pass_fp pins the scoring config; the per-block keys in the
+            // layout pin row content. The whole-program fingerprint is
+            // deliberately not required — a dirty source's regenerated
+            // mapping shifts it without touching any clean row.
+            ctx.remap
+                && layout_rows == union_table.num_rows()
+                && m.pass_fp == ctx.pass_fp
+                && m.layout.iter().map(|&(_, _, n)| n).sum::<usize>() == m.row_entity.len()
+        });
+        let incr::ErReplay { mut scores, todo } = match memo {
+            Some(m) => m.replay(&incr::remap_rows(&m.layout, ctx.layout), &candidates),
+            None => incr::ErReplay {
+                scores: vec![0.0; candidates.len()],
+                todo: (0..candidates.len()).collect(),
+            },
         };
-        let mut remapped = 0u64;
-        let mut todo: Vec<usize> = Vec::with_capacity(candidates.len());
-        let mut todo_pairs: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
-        for (k, &(i, j)) in candidates.iter().enumerate() {
-            let replay = rowmap.as_ref().and_then(|map| {
-                let (oi, oj) = wrangler_resolve::blocking::remap_candidate((i, j), map)?;
-                self.incr.er.as_ref()?.score_of(incr::pack_pair(oi, oj))
-            });
-            match replay {
-                Some(s) => {
-                    scores[k] = s;
-                    remapped += 1;
-                }
-                None => {
-                    todo.push(k);
-                    todo_pairs.push((i, j));
-                }
-            }
-        }
+        let remapped = (candidates.len() - todo.len()) as u64;
+        let todo_pairs: Vec<(usize, usize)> = todo.iter().map(|&k| candidates[k]).collect();
+        self.obs.end();
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
         // applies on top of the requested width.
+        self.obs.begin("score");
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
         let (todo_scores, pass) =
             self.working
@@ -2463,6 +2454,8 @@ impl Wrangler {
         for (&k, s) in todo.iter().zip(todo_scores) {
             scores[k] = s;
         }
+        self.obs.end();
+        self.obs.begin("cluster");
         let pairs = kernel.filter_matches(&candidates, &scores);
         let clusters = cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
         let mut row_entity = vec![0usize; union_table.num_rows()];
@@ -2472,13 +2465,17 @@ impl Wrangler {
             }
         }
         self.working.mark_clean(Artifact::Clusters);
+        self.obs.end();
         if ctx.store {
-            let mut packed: Vec<(u64, f64)> = candidates
+            self.obs.begin("memo");
+            // Candidates ascend by (i, j) with i < j, so their packed keys
+            // are already in the order `ErMemo::replay` searches.
+            let packed: Vec<(u64, f64)> = candidates
                 .iter()
                 .zip(&scores)
                 .map(|(&(i, j), &s)| (incr::pack_pair(i, j), s))
                 .collect();
-            packed.sort_unstable_by_key(|&(key, _)| key);
+            debug_assert!(packed.windows(2).all(|w| w[0].0 < w[1].0));
             let layout = if layout_rows == union_table.num_rows() {
                 ctx.layout.to_vec()
             } else {
@@ -2493,6 +2490,7 @@ impl Wrangler {
                 layout,
                 scores: packed,
             });
+            self.obs.end();
         }
         for (w, st) in pass.workers.iter().enumerate() {
             self.obs.count(&format!("er.worker{w}.items"), st.items);
@@ -3031,15 +3029,7 @@ impl Wrangler {
         // labels must not collapse or shatter the entity space. Re-cluster
         // with the candidate rule and require the entity count to stay within
         // a factor of the current one.
-        let block_col = blocking_column(&self.target);
-        let key_col = self.target.fields()[0].name.clone();
-        let mut candidates = candidates_blocked(&union_table, &block_col).ok()?;
-        if key_col != block_col {
-            candidates
-                .extend(wrangler_resolve::candidates_blocked_exact(&union_table, &key_col).ok()?);
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
+        let candidates = self.er_candidates(&union_table).ok()?;
         let pairs = ErKernel::compile(&union_table, &cfg)
             .ok()?
             .match_pairs(&candidates)
@@ -4249,6 +4239,57 @@ mod tests {
             m.counts["incr.pair_cache.retained"] > m.counts["incr.pair_cache.evicted"],
             "a 1-source update must keep most pair scores: {m:?}"
         );
+    }
+
+    /// Share of `wrangle/er` wall time, between two snapshots, that the ER
+    /// stage's named child spans account for (worker busy time runs in
+    /// parallel under `er` and is not a child step).
+    fn er_child_coverage(before: &MetricsReport, after: &MetricsReport) -> f64 {
+        let delta = |path: &str| {
+            let at = |m: &MetricsReport| m.timings.get(path).map_or(0, |t| t.nanos);
+            at(after) - at(before)
+        };
+        let total = delta("wrangle/er");
+        assert!(total > 0, "the pass must run the ER stage");
+        let children: u128 = [
+            "candidates",
+            "compile",
+            "replay",
+            "score",
+            "cluster",
+            "memo",
+        ]
+        .iter()
+        .map(|c| delta(&format!("wrangle/er/{c}")))
+        .sum();
+        children as f64 / total as f64
+    }
+
+    #[test]
+    fn er_child_spans_cover_the_stage_cold_and_after_one_source_update() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        // A throwaway pass on a clone first: process-wide one-time costs
+        // (code page faults, lazy statics) are not the stage's own time.
+        w.clone().wrangle().unwrap();
+        let before = w.metrics();
+        let first = w.wrangle().unwrap();
+        let cold = er_child_coverage(&before, &first.metrics);
+        assert!(cold >= 0.95, "cold pass: children cover {cold:.3} of er");
+        // Worker busy time stays at `er/workerN`, outside the child spans.
+        assert!(first.metrics.timings.contains_key("wrangle/er/worker0"));
+        assert!(!first
+            .metrics
+            .timings
+            .keys()
+            .any(|p| p.starts_with("wrangle/er/score/")));
+        let victim = first.selected_sources[0];
+        let new_payload = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, new_payload).unwrap());
+        let warm = w.wrangle().unwrap();
+        assert!(warm.metrics.counts["incr.er.pairs_remapped"] > 0);
+        let k1 = er_child_coverage(&first.metrics, &warm.metrics);
+        assert!(k1 >= 0.95, "k=1 pass: children cover {k1:.3} of er");
     }
 
     #[test]

@@ -31,20 +31,30 @@ pub fn block_key(v: &Value) -> Option<String> {
     Some(tok.chars().take(4).collect())
 }
 
-/// Key-based blocking on a column: pairs within the same block only.
-pub fn candidates_blocked(
-    table: &Table,
-    column: &str,
-) -> wrangler_table::Result<Vec<(usize, usize)>> {
-    let col = table.column_named(column)?;
-    // BTreeMap iterates in key order, so the emitted pair order is
-    // deterministic without an explicit sort.
+/// Exact-blocking key of a value: its full rendering, trimmed and
+/// lowercased. Nulls join no block.
+fn exact_key(v: &Value) -> Option<String> {
+    (!v.is_null()).then(|| v.render().trim().to_lowercase())
+}
+
+/// Rows grouped by `key`, ascending within each block. A `BTreeMap`
+/// iterates in key order, so every pair order derived from it is
+/// deterministic without an explicit sort.
+fn blocks_by(
+    col: &[Value],
+    key: impl Fn(&Value) -> Option<String>,
+) -> BTreeMap<String, Vec<usize>> {
     let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, v) in col.iter().enumerate() {
-        if let Some(k) = block_key(v) {
+        if let Some(k) = key(v) {
             blocks.entry(k).or_default().push(i);
         }
     }
+    blocks
+}
+
+/// Every within-block pair `(rows[a], rows[b])`, `a < b`, block by block.
+fn block_pairs(blocks: &BTreeMap<String, Vec<usize>>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for rows in blocks.values() {
         for a in 0..rows.len() {
@@ -53,7 +63,18 @@ pub fn candidates_blocked(
             }
         }
     }
-    Ok(out)
+    out
+}
+
+/// Key-based blocking on a column: pairs within the same block only.
+pub fn candidates_blocked(
+    table: &Table,
+    column: &str,
+) -> wrangler_table::Result<Vec<(usize, usize)>> {
+    Ok(block_pairs(&blocks_by(
+        table.column_named(column)?,
+        block_key,
+    )))
 }
 
 /// Exact-value blocking: pairs sharing the column's full (lowercased,
@@ -63,23 +84,66 @@ pub fn candidates_blocked_exact(
     table: &Table,
     column: &str,
 ) -> wrangler_table::Result<Vec<(usize, usize)>> {
-    let col = table.column_named(column)?;
-    let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, v) in col.iter().enumerate() {
-        if !v.is_null() {
-            blocks
-                .entry(v.render().trim().to_lowercase())
-                .or_default()
-                .push(i);
+    Ok(block_pairs(&blocks_by(
+        table.column_named(column)?,
+        exact_key,
+    )))
+}
+
+/// Per row, the ascending rows after it in its block (empty for a row in
+/// no block). Every slice borrows from `blocks`.
+fn later_in_block(blocks: &BTreeMap<String, Vec<usize>>, n: usize) -> Vec<&[usize]> {
+    let mut later: Vec<&[usize]> = vec![&[][..]; n];
+    for rows in blocks.values() {
+        for (a, &r) in rows.iter().enumerate() {
+            later[r] = &rows[a + 1..];
         }
     }
-    let mut out = Vec::new();
-    for rows in blocks.values() {
-        for a in 0..rows.len() {
-            for b in (a + 1)..rows.len() {
-                out.push((rows[a], rows[b]));
+    later
+}
+
+/// The ER stage's candidate set: pairs sharing a prefix block
+/// ([`block_key`]) on `name_col` or an exact block on `key_col`, sorted
+/// and deduplicated. Rows whose name is null or typo-prefixed still meet
+/// their duplicates through the key.
+///
+/// Equal to `candidates_blocked ∪ candidates_blocked_exact`, sorted and
+/// deduplicated, but built in that order: each row belongs to at most one
+/// block per column, so row `i`'s partners are the merge of two ascending
+/// suffixes (the rows after `i` in each of its blocks), with a row found
+/// in both emitted once. Linear in the output, no sort. When both columns
+/// are the same column, the result is the prefix-blocked pairs, sorted.
+pub fn er_candidates(
+    table: &Table,
+    name_col: &str,
+    key_col: &str,
+) -> wrangler_table::Result<Vec<(usize, usize)>> {
+    let n = table.num_rows();
+    let by_name = blocks_by(table.column_named(name_col)?, block_key);
+    let by_key = if key_col == name_col {
+        BTreeMap::new()
+    } else {
+        blocks_by(table.column_named(key_col)?, exact_key)
+    };
+    let (name_later, key_later) = (later_in_block(&by_name, n), later_in_block(&by_key, n));
+    let bound: usize = name_later
+        .iter()
+        .zip(&key_later)
+        .map(|(a, b)| a.len() + b.len())
+        .sum();
+    let mut out = Vec::with_capacity(bound);
+    for (i, (mut a, mut b)) in name_later.into_iter().zip(key_later).enumerate() {
+        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+            let j = x.min(y);
+            out.push((i, j));
+            if x == j {
+                a = &a[1..];
+            }
+            if y == j {
+                b = &b[1..];
             }
         }
+        out.extend(a.iter().chain(b).map(|&j| (i, j)));
     }
     Ok(out)
 }
@@ -236,6 +300,31 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    #[test]
+    fn er_candidates_merge_name_and_key_blocks_sorted() {
+        let t = Table::literal(
+            &["sku", "name"],
+            vec![
+                vec!["S1".into(), "Acme Widget".into()],
+                vec!["s1 ".into(), "Bolt Widget".into()],
+                vec!["S2".into(), "acme gadget".into()],
+                vec![Value::Null, Value::Null],
+                vec!["S1".into(), "ACME".into()],
+            ],
+        )
+        .unwrap();
+        // Name blocks: acme {0,2,4}; key blocks: s1 {0,1,4}. (0,4) is in
+        // both and appears once.
+        let got = er_candidates(&t, "name", "sku").unwrap();
+        assert_eq!(got, vec![(0, 1), (0, 2), (0, 4), (1, 4), (2, 4)]);
+        // Same column for both: the prefix-blocked pairs, sorted.
+        assert_eq!(
+            er_candidates(&t, "name", "name").unwrap(),
+            vec![(0, 2), (0, 4), (2, 4)]
+        );
+        assert!(er_candidates(&t, "name", "missing").is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   with output bit-identical to the serial path;
 //! * [`blocking`] — key-based blocking and sorted-neighbourhood candidate
 //!   generation, versus the naive O(n²) baseline (the §4.3 scalability
-//!   experiment E7 measures the crossover);
+//!   experiment E7 measures the crossover), plus the pipeline's combined
+//!   name + key candidate builder, which emits its pairs already sorted;
 //! * [`cluster`] — union-find clustering of matched pairs into entities and
 //!   representative selection;
 //! * [`learn`] — threshold/weight learning from labeled pairs, the
@@ -28,6 +29,7 @@ pub mod sim;
 
 pub use blocking::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
+    er_candidates,
 };
 pub use cluster::{cluster_pairs, UnionFind};
 pub use kernel::{ErKernel, WorkerStat};

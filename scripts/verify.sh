@@ -13,6 +13,9 @@ cargo test -q
 echo "==> cargo test --workspace -q (full suite)"
 cargo test --workspace -q
 
+echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml (perfbench smoke tests)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
